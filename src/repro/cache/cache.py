@@ -17,17 +17,15 @@ class Cache:
     def __init__(self, config: CacheConfig, name: str = "cache") -> None:
         self.config = config
         self.name = name
-        self._set_mask = config.n_sets - 1
-        self._power_of_two_sets = (config.n_sets & (config.n_sets - 1)) == 0
-        # One list of tags per set, most-recently-used first.
+        # One list of tags per set, most-recently-used first; a line
+        # lives in set ``line % n_sets``.  :class:`CacheHierarchy`
+        # updates these lists and the counters inline on its hot path.
         self._sets: list[list[int]] = [[] for _ in range(config.n_sets)]
         self.accesses = 0
         self.misses = 0
 
     def _set_index(self, line_addr: int) -> int:
-        if self._power_of_two_sets:
-            return line_addr & self._set_mask
-        return line_addr % self.config.n_sets
+        return line_addr % len(self._sets)
 
     def access(self, line_addr: int) -> bool:
         """Access one cache line (identified by ``addr >> log2(line)``).

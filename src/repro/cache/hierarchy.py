@@ -67,20 +67,47 @@ class CacheHierarchy:
         self._line_shift = self.config.line_bytes.bit_length() - 1
 
     def access(self, address: int, size: int, kind: AccessKind) -> int:
-        """Access ``size`` bytes at ``address``; return the cycle penalty."""
+        """Access ``size`` bytes at ``address``; return the cycle penalty.
+
+        Each line goes to the L1 of ``kind`` and, on an L1 miss, to the
+        L2, exactly as :meth:`Cache.access` would take it; the LRU tag
+        lists and counters of both levels are updated here inline, as
+        this is the simulator's innermost loop.
+        """
         if size <= 0:
             raise ValueError(f"access size must be positive, got {size}")
-        first = address >> self._line_shift
-        last = (address + size - 1) >> self._line_shift
+        shift = self._line_shift
+        first = address >> shift
+        last = (address + size - 1) >> shift
         l1 = self.l1i if kind is AccessKind.INSTRUCTION else self.l1d
+        l1_sets = l1._sets
+        l1.accesses += last - first + 1
         penalty = 0
         for line in range(first, last + 1):
-            if l1.access(line):
+            tags = l1_sets[line % len(l1_sets)]
+            if line in tags:
+                if tags[0] != line:
+                    tags.remove(line)
+                    tags.insert(0, line)
                 continue
-            if self.l2.access(line):
+            l1.misses += 1
+            tags.insert(0, line)
+            if len(tags) > l1.config.ways:
+                tags.pop()
+            l2 = self.l2
+            l2.accesses += 1
+            tags = l2._sets[line % len(l2._sets)]
+            if line in tags:
+                if tags[0] != line:
+                    tags.remove(line)
+                    tags.insert(0, line)
                 penalty += self.l2_hit_penalty
-            else:
-                penalty += self.memory_penalty
+                continue
+            l2.misses += 1
+            tags.insert(0, line)
+            if len(tags) > l2.config.ways:
+                tags.pop()
+            penalty += self.memory_penalty
         return penalty
 
     def line_count(self, size: int, address: int = 0) -> int:

@@ -41,6 +41,8 @@ SYMBOL_ENTRY_BYTES = 24
 HASH_HEADER_BYTES = 8
 #: Bytes per bucket / chain slot (Elf32 words, as in the SysV hash).
 HASH_SLOT_BYTES = 4
+#: Bytes of GNU hash header (nbuckets, symoffset, bloom_size, bloom_shift).
+GNU_HASH_HEADER_BYTES = 16
 
 
 def elf_hash(name: str) -> int:
@@ -53,6 +55,18 @@ def elf_hash(name: str) -> int:
             h ^= g >> 24
         h &= ~g & 0xFFFFFFFF
     return h & 0xFFFFFFFF
+
+
+def hash_name(name: str, style: HashStyle) -> int:
+    """The hash a table of ``style`` indexes ``name`` by.
+
+    A lookup computes it once and hands it to every table it probes
+    (:meth:`SymbolTable.probe_plan`), as glibc's ``_dl_lookup_symbol``
+    does; GNU tables use it for both the bucket and the Bloom word.
+    """
+    if style is HashStyle.GNU:
+        return gnu_hash(name)
+    return elf_hash(name)
 
 
 def strcmp_cost_chars(a: str, b: str) -> int:
@@ -178,15 +192,13 @@ class SymbolTable:
         self._probe_plans: dict[str, ProbePlan] = {}
 
     def _hash(self, name: str) -> int:
-        if self.hash_style is HashStyle.GNU:
-            return gnu_hash(name)
-        return elf_hash(name)
+        return hash_name(name, self.hash_style)
 
     # -- GNU-hash Bloom filter ---------------------------------------------
     _BLOOM_SHIFT = 6
 
-    def _bloom_positions(self, name: str) -> tuple[tuple[int, int], tuple[int, int]]:
-        h = gnu_hash(name)
+    def _bloom_positions(self, h: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        """The two (word, bit) positions of GNU hash ``h``."""
         word = (h // 64) % self._bloom_words
         return (word, h % 64), (word, (h >> self._BLOOM_SHIFT) % 64)
 
@@ -208,15 +220,20 @@ class SymbolTable:
             raise ConfigError("Bloom filter only exists for GNU-hash tables")
         if self._buckets is None:
             self._build_index()
-        a, b = self._bloom_positions(name)
-        return a in self._bloom_bits and b in self._bloom_bits
+        return self._bloom_check(gnu_hash(name))[1]
 
     def bloom_word_offset(self, name: str) -> int:
         """Byte offset of the Bloom word a lookup reads (GNU hash only)."""
         if self._buckets is None:
             self._build_index()
-        (word, _bit), _ = self._bloom_positions(name)
-        return 16 + 8 * word  # 16-byte GNU hash header, 8-byte words
+        return self._bloom_check(gnu_hash(name))[0]
+
+    def _bloom_check(self, h: int) -> tuple[int, bool]:
+        """(Bloom word offset, maybe-contains) for GNU hash ``h``."""
+        a, b = self._bloom_positions(h)
+        word, _bit = a
+        offset = GNU_HASH_HEADER_BYTES + 8 * word  # 8-byte Bloom words
+        return offset, a in self._bloom_bits and b in self._bloom_bits
 
     def add(self, symbol: Symbol) -> int:
         """Add a defined symbol; returns its table index (1-based)."""
@@ -257,18 +274,19 @@ class SymbolTable:
     def _build_index(self) -> None:
         n = max(1, len(self._symbols))
         self._nbuckets = max(1, int(n * self._bucket_ratio))
-        buckets: dict[int, list[int]] = {}
-        for index, symbol in enumerate(self._symbols, start=1):
-            bucket = self._hash(symbol.name) % self._nbuckets
-            buckets.setdefault(bucket, []).append(index)
-        self._buckets = buckets
-        if self.hash_style is HashStyle.GNU:
+        gnu = self.hash_style is HashStyle.GNU
+        if gnu:
             self._bloom_words = max(1, n // 8)
-            bits: set[tuple[int, int]] = set()
-            for symbol in self._symbols:
-                a, b = self._bloom_positions(symbol.name)
-                bits.add(a)
-                bits.add(b)
+        buckets: dict[int, list[int]] = {}
+        bits: set[tuple[int, int]] = set()
+        # One hash per symbol serves both its bucket and its Bloom bits.
+        for index, symbol in enumerate(self._symbols, start=1):
+            h = self._hash(symbol.name)
+            buckets.setdefault(h % self._nbuckets, []).append(index)
+            if gnu:
+                bits.update(self._bloom_positions(h))
+        self._buckets = buckets
+        if gnu:
             self._bloom_bits = bits
 
     @property
@@ -289,28 +307,34 @@ class SymbolTable:
         assert self._buckets is not None
         return self._buckets.get(bucket, [])
 
-    def probe_plan(self, name: str) -> ProbePlan:
+    def probe_plan(self, name: str, name_hash: int | None = None) -> ProbePlan:
         """The memoized probe replay for ``name`` against this table.
 
-        Built once per (table, name) by walking the hash structures the
-        slow way; every subsequent lookup — and in a Pynamic job the
-        same import/visit names are probed against the same DLL scope
-        once *per rank* — replays the cached offset sequence instead.
-        :meth:`add` invalidates all plans along with the hash index.
+        Memoized per (table, name): the first probe of a name walks the
+        hash structures the slow way; every later one — and in a
+        Pynamic job the same import/visit names are probed against the
+        same DLL scope once *per rank* — replays the cached offset
+        sequence instead.  ``name_hash`` is the name's hash in this
+        table's style (:func:`hash_name`), computed once by the lookup
+        that probes every table in its scope; without it the build
+        hashes the name itself.  :meth:`add` invalidates all plans
+        along with the hash index.
         """
         plan = self._probe_plans.get(name)
         if plan is not None:
             return plan
+        if self._buckets is None:
+            self._build_index()
+        h = self._hash(name) if name_hash is None else name_hash
         bloom_offset = 0
         bloom_pass = True
         if self.hash_style is HashStyle.GNU:
-            bloom_offset = self.bloom_word_offset(name)
-            bloom_pass = self.bloom_maybe_contains(name)
+            bloom_offset, bloom_pass = self._bloom_check(h)
         bucket_offset = 0
         steps: list[tuple[int, int, int]] = []
         symbol: Symbol | None = None
         if bloom_pass:
-            bucket = self._hash(name) % self.nbuckets
+            bucket = h % self._nbuckets
             bucket_offset = self.bucket_slot_offset(bucket)
             for index in self.chain(bucket):
                 candidate = self._symbols[index - 1]
@@ -352,7 +376,7 @@ class SymbolTable:
         nchain = len(self._symbols) + 1
         if self.hash_style is HashStyle.GNU:
             return (
-                16  # nbuckets, symoffset, bloom_size, bloom_shift
+                GNU_HASH_HEADER_BYTES
                 + 8 * self.bloom_words
                 + HASH_SLOT_BYTES * (self.nbuckets + nchain)
             )

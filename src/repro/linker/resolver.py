@@ -7,12 +7,14 @@ compares candidate names.  Every step is charged as real memory traffic
 "memory intensive binding operations" the paper blames for the visit-time
 L1-D miss explosion of lazily-bound pre-linked builds (Table II).
 
-The *charged* traffic is identical on every lookup of a name against an
-unchanged table, so the per-object probe is driven by a memoized
-:class:`~repro.elf.symbols.ProbePlan`: the chain walk, strcmp prefix
-lengths and string-table offsets are computed once per (table, name)
-and replayed for every rank that binds the same symbol — the
-symbol-probe hot path ROADMAP flags on 16k-rank jobs.  Replay preserves
+The name is hashed once per lookup, as glibc does, and the hash is
+handed to every table the scope walk probes.  The *charged* traffic is
+identical on every lookup of a name against an unchanged table, so the
+per-object probe is driven by a :class:`~repro.elf.symbols.ProbePlan`
+memoized per (table, name): the chain walk, strcmp prefix lengths and
+string-table offsets are worked out on the first probe (from the
+lookup's hash) and replayed for every rank that binds the same symbol —
+the symbol-probe hot path of many-rank jobs.  Replay preserves
 the exact ``work``/``dread`` call sequence (per-call cycle rounding and
 cache state depend on it), pinned bit-identical against
 :meth:`SymbolResolver._probe_reference`, the original walk kept as the
@@ -30,6 +32,7 @@ from repro.elf.symbols import (
     SYMBOL_ENTRY_BYTES,
     HashStyle,
     Symbol,
+    hash_name,
     strcmp_cost_chars,
 )
 from repro.errors import UndefinedSymbolError
@@ -73,15 +76,23 @@ class SymbolResolver:
         """
         costs = ctx.costs
         self.lookups += 1
-        # The name hash is computed once per lookup (glibc caches it).
+        # The name hash is computed once per lookup (glibc caches it),
+        # and again only if the scope switches hash style.
         ctx.work(
             costs.lookup_base_instructions
             + costs.hash_instructions_per_char * len(name)
         )
+        probe = self._probe
+        style = None
+        h = 0
         probed = 0
         for obj in scope:
             probed += 1
-            symbol = self._probe(ctx, obj, name)
+            table_style = obj.shared_object.symbol_table.hash_style
+            if table_style is not style:
+                style = table_style
+                h = hash_name(name, style)
+            symbol = probe(ctx, obj, name, h)
             if symbol is not None:
                 self.total_probes += probed
                 return ResolutionResult(
@@ -98,6 +109,7 @@ class SymbolResolver:
         ctx: ExecutionContext,
         obj: LoadedObject,
         name: str,
+        name_hash: int | None = None,
     ) -> Symbol | None:
         """Probe one object's hash table; None if it lacks the symbol.
 
@@ -105,10 +117,12 @@ class SymbolResolver:
         section-relative offsets, the object's per-process load bases
         are added here, and the ``work``/``dread`` sequence charged is
         exactly the one :meth:`_probe_reference` would issue.
+        ``name_hash`` is the name's hash in the table's style, which a
+        plan build uses instead of hashing the name again.
         """
         costs = ctx.costs
         table = obj.shared_object.symbol_table
-        plan = table.probe_plan(name)
+        plan = table.probe_plan(name, name_hash)
         hash_base = obj.base(SectionKind.HASH)
         if table.hash_style is HashStyle.GNU:
             # DT_GNU_HASH fast path: one Bloom-word read rejects objects
@@ -137,8 +151,12 @@ class SymbolResolver:
         ctx: ExecutionContext,
         obj: LoadedObject,
         name: str,
+        name_hash: int | None = None,
     ) -> Symbol | None:
         """The original un-memoized probe, kept as the reference.
+
+        It hashes the name itself on every probe and ignores
+        ``name_hash``.
 
         Tests pin :meth:`_probe` bit-identical against this walk, and
         the ``symbol_probe`` microbenchmark measures the plan cache

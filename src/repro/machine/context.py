@@ -24,6 +24,9 @@ class ExecutionContext:
         self._hierarchy = self.node.hierarchy
         self._clock = self.node.clock
         self._aspace = process.address_space
+        # Read directly by :meth:`_access` to skip the page walk.
+        self._present = self._aspace.present_pages
+        self._page_shift = self._aspace.page_bytes.bit_length() - 1
         #: Total bytes read by major page faults (for reports/tests).
         self.major_fault_bytes = 0
         self.minor_faults = 0
@@ -74,26 +77,37 @@ class ExecutionContext:
             self._aspace.mark_range_present(fault.page_address, window)
             covered[id(mapping)] = fault.page_address + window - 1
 
-    def ifetch(self, address: int, size: int) -> None:
-        """Fetch instruction bytes (L1I path)."""
-        self._touch(address, size)
-        penalty = self._hierarchy.access(address, size, AccessKind.INSTRUCTION)
+    def _access(self, address: int, size: int, kind: AccessKind) -> None:
+        """Page in, then run through the cache hierarchy, one access.
+
+        The page walk is skipped when the access stays inside one page
+        that is already resident: such a touch can fault nothing.  Empty
+        or negative sizes, page-crossing accesses and pages not yet
+        present take the full :meth:`_touch` path.
+        """
+        shift = self._page_shift
+        page = address >> shift
+        if (
+            size <= 0
+            or (address + size - 1) >> shift != page
+            or page not in self._present
+        ):
+            self._touch(address, size)
+        penalty = self._hierarchy.access(address, size, kind)
         if penalty:
             self._clock.add_cycles(penalty)
+
+    def ifetch(self, address: int, size: int) -> None:
+        """Fetch instruction bytes (L1I path)."""
+        self._access(address, size, AccessKind.INSTRUCTION)
 
     def dread(self, address: int, size: int) -> None:
         """Read data bytes (L1D path)."""
-        self._touch(address, size)
-        penalty = self._hierarchy.access(address, size, AccessKind.DATA_READ)
-        if penalty:
-            self._clock.add_cycles(penalty)
+        self._access(address, size, AccessKind.DATA_READ)
 
     def dwrite(self, address: int, size: int) -> None:
         """Write data bytes (write-allocate L1D path)."""
-        self._touch(address, size)
-        penalty = self._hierarchy.access(address, size, AccessKind.DATA_WRITE)
-        if penalty:
-            self._clock.add_cycles(penalty)
+        self._access(address, size, AccessKind.DATA_WRITE)
 
     # -- convenience -------------------------------------------------------
     @property

@@ -91,6 +91,16 @@ class AddressSpace:
         return self.profile.page_bytes
 
     @property
+    def present_pages(self) -> set[int]:
+        """The live set of resident page numbers (``address // page``).
+
+        The execution context's access fast path tests membership here
+        to skip :meth:`touch` on a resident page; only this class adds
+        to the set.
+        """
+        return self._present
+
+    @property
     def mappings(self) -> tuple[Mapping, ...]:
         """All mappings in address order."""
         return tuple(self._mappings)

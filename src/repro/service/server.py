@@ -124,6 +124,11 @@ class SimulationServer:
             initializer=init_worker,
             initargs=(self._progress_queue,),
         )
+        # A fork-context pool forks all its workers at the first
+        # submit.  Do that now, while this server runs no other thread:
+        # a child forked while a request thread holds a SQLite lock
+        # deadlocks on its own warehouse open.
+        await asyncio.wrap_future(self._pool.submit(int))
         self._drain_thread = threading.Thread(
             target=self._drain_progress, name="serve-progress", daemon=True
         )

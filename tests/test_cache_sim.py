@@ -1,10 +1,12 @@
 """The set-associative cache simulator (configs, one level, hierarchy)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache.cache import Cache
 from repro.cache.config import CacheConfig, HierarchyConfig, opteron_hierarchy
-from repro.cache.hierarchy import AccessKind, CacheHierarchy
+from repro.cache.hierarchy import AccessKind, CacheHierarchy, MissCounts
 from repro.errors import ConfigError
 
 
@@ -148,3 +150,71 @@ class TestHierarchy:
         assert hierarchy.line_count(64) == 1
         assert hierarchy.line_count(65) == 2
         assert hierarchy.line_count(8, address=60) == 2
+
+
+def _per_line_oracle(levels, config, address, size, kind, l2_hit, memory):
+    """One hierarchy access as a per-line composition of ``Cache.access``."""
+    l1i, l1d, l2 = levels
+    l1 = l1i if kind is AccessKind.INSTRUCTION else l1d
+    shift = config.line_bytes.bit_length() - 1
+    penalty = 0
+    for line in range(address >> shift, ((address + size - 1) >> shift) + 1):
+        if l1.access(line):
+            continue
+        penalty += l2_hit if l2.access(line) else memory
+    return penalty
+
+
+_GEOMETRIES = {
+    "opteron": opteron_hierarchy(),
+    # 384 L1 sets and 1536 L2 sets: neither is a power of two.
+    "odd_sets": HierarchyConfig(
+        l1i=CacheConfig(48 * 1024, 2),
+        l1d=CacheConfig(48 * 1024, 2),
+        l2=CacheConfig(1536 * 1024, 16),
+    ),
+}
+
+# Addresses built as (tag * L2 sets + set) lines plus an offset land
+# many distinct tags on a few sets, so short traces fill and evict
+# both levels; sizes up to 200 bytes span up to five lines.
+_TRACES = st.lists(
+    st.tuples(
+        st.integers(0, 40),
+        st.integers(0, 3),
+        st.integers(0, 63),
+        st.integers(1, 200),
+        st.sampled_from(list(AccessKind)),
+    ),
+    max_size=300,
+)
+
+
+@pytest.mark.parametrize("geometry", sorted(_GEOMETRIES))
+@settings(max_examples=60, deadline=None)
+@given(trace=_TRACES)
+def test_inlined_hierarchy_matches_per_line_oracle(geometry, trace):
+    config = _GEOMETRIES[geometry]
+    hierarchy = CacheHierarchy(config, l2_hit_penalty=12, memory_penalty=80)
+    levels = (
+        Cache(config.l1i, "L1I"),
+        Cache(config.l1d, "L1D"),
+        Cache(config.l2, "L2"),
+    )
+    l2_sets = config.l2.n_sets
+    for tag, set_index, offset, size, kind in trace:
+        address = (tag * l2_sets + set_index) * config.line_bytes + offset
+        expected = _per_line_oracle(levels, config, address, size, kind, 12, 80)
+        assert hierarchy.access(address, size, kind) == expected
+    l1i, l1d, l2 = levels
+    assert hierarchy.counters() == MissCounts(
+        l1d_accesses=l1d.accesses,
+        l1d_misses=l1d.misses,
+        l1i_accesses=l1i.accesses,
+        l1i_misses=l1i.misses,
+        l2_accesses=l2.accesses,
+        l2_misses=l2.misses,
+    )
+    inlined = (hierarchy.l1i, hierarchy.l1d, hierarchy.l2)
+    for level, oracle in zip(inlined, levels):
+        assert level._sets == oracle._sets

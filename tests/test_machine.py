@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.machine.clock import SimClock
 from repro.machine.cluster import Cluster
+from repro.machine.context import ExecutionContext
 from repro.machine.costs import CostModel
 from repro.machine.node import Node
 from repro.machine.osprofile import aix32, bluegene, linux_chaos
@@ -154,3 +155,51 @@ class TestNodeAndCluster:
     def test_cluster_needs_a_node(self):
         with pytest.raises(ConfigError):
             Cluster(n_nodes=0)
+
+
+class TestContextAccessFastPath:
+    """The access kinds skip the page walk only on one resident page."""
+
+    KINDS = ("ifetch", "dread", "dwrite")
+
+    def _setup(self):
+        process = Node().spawn()
+        ctx = ExecutionContext(process)
+        mapping = process.address_space.map(4 * 4096, name="anon")
+        return process.address_space, ctx, mapping
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_non_positive_size_rejected(self, kind, size):
+        aspace, ctx, mapping = self._setup()
+        ctx.dread(mapping.start, 8)  # the page is present: no shortcut
+        with pytest.raises(ConfigError):
+            getattr(ctx, kind)(mapping.start + 100, size)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_crossing_into_absent_page_faults_it(self, kind):
+        aspace, ctx, mapping = self._setup()
+        page = aspace.page_bytes
+        getattr(ctx, kind)(mapping.start, 8)
+        assert ctx.minor_faults == 1
+        assert not aspace.is_resident(mapping.start + page)
+        # Starts on the resident first page, ends on the absent second.
+        getattr(ctx, kind)(mapping.start + page - 4, 8)
+        assert ctx.minor_faults == 2
+        assert aspace.is_resident(mapping.start + page)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_repeat_on_present_page_skips_the_walk(self, kind, monkeypatch):
+        aspace, ctx, mapping = self._setup()
+        access = getattr(ctx, kind)
+        access(mapping.start + 100, 16)
+        before = (ctx.minor_faults, ctx.major_faults, ctx.major_fault_bytes)
+        walks = []
+        monkeypatch.setattr(
+            aspace, "touch", lambda *args: walks.append(args) or []
+        )
+        access(mapping.start + 100, 16)
+        access(mapping.start + 2048, 64)
+        after = (ctx.minor_faults, ctx.major_faults, ctx.major_fault_bytes)
+        assert after == before
+        assert walks == []

@@ -13,6 +13,8 @@ import dataclasses
 
 import pytest
 
+from repro.core.runner import run_all_modes
+from repro.elf import symbols
 from repro.elf.symbols import (
     HashStyle,
     Symbol,
@@ -20,6 +22,7 @@ from repro.elf.symbols import (
     SymbolTable,
     strcmp_cost_chars,
 )
+from repro.harness import table1
 from repro.linker.resolver import SymbolResolver
 from repro.scenario import scenario_preset, simulate
 
@@ -95,3 +98,33 @@ def test_simulation_bit_identical_to_reference_probe(monkeypatch, style):
     )
     reference = simulate(spec)
     assert memoized == reference
+
+
+def test_name_hashed_once_per_lookup(monkeypatch):
+    """glibc hashes a name once per lookup, not once per probed table:
+    on the smoke-scale Table I the hashes computed are bounded by one
+    per lookup plus one per symbol indexed into a hash table."""
+    counts = {"hashes": 0, "lookups": 0, "indexed": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(symbols, "elf_hash", counted(symbols.elf_hash, "hashes"))
+    monkeypatch.setattr(symbols, "gnu_hash", counted(symbols.gnu_hash, "hashes"))
+    monkeypatch.setattr(
+        SymbolResolver, "lookup", counted(SymbolResolver.lookup, "lookups")
+    )
+    build_index = SymbolTable._build_index
+
+    def counted_index(table):
+        counts["indexed"] += len(table)
+        build_index(table)
+
+    monkeypatch.setattr(SymbolTable, "_build_index", counted_index)
+    run_all_modes(table1.smoke_config())
+    assert counts["lookups"] > 0 and counts["indexed"] > 0
+    assert counts["hashes"] <= counts["lookups"] + counts["indexed"], counts
